@@ -150,8 +150,29 @@ void* operator new(std::size_t size, std::align_val_t al) {
 void* operator new[](std::size_t size, std::align_val_t al) {
   return memprobe_alloc(size, static_cast<std::size_t>(al));
 }
+// The nothrow forms too: std::stable_sort's temporary buffer comes from
+// nothrow new and goes back through a replaced delete, so both sides
+// must use malloc/free.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return memprobe_alloc(size, 0);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return memprobe_alloc(size, 0);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }

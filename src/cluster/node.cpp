@@ -12,7 +12,7 @@ namespace nevermind::cluster {
 
 ClusterNode::ClusterNode(ClusterNodeConfig config)
     : config_(std::move(config)),
-      store_(config_.store_shards, config_.window_capacity),
+      store_(config_.store_shards),
       service_(store_, registry_),
       membership_(config_.membership) {}
 
@@ -219,17 +219,12 @@ net::OpOutcome ClusterNode::handle_top_n_shards(const net::Frame& frame,
     if (s >= req.n_shards) return net::OpOutcome::kBadPayload;
     wanted[s] = true;
   }
-  // line_ids() is ascending, the filter preserves that — the subset
-  // ranking merges back into the exact global ranking on the router.
-  std::vector<dslsim::LineId> lines = store_.line_ids();
-  lines.erase(std::remove_if(lines.begin(), lines.end(),
-                             [&](dslsim::LineId line) {
-                               return !wanted[shard_of_line(line,
-                                                            req.n_shards)];
-                             }),
-              lines.end());
+  // The head of the wanted shards' lines in RankOrder — the router
+  // merges the nodes' heads back into the exact global ranking.
   const std::vector<serve::ServeScore> ranked =
-      service_.top_n_of(req.n, lines);
+      service_.top_n(req.n, [&](dslsim::LineId line) {
+        return wanted[shard_of_line(line, req.n_shards)];
+      });
   out.u32(static_cast<std::uint32_t>(ranked.size()));
   for (const serve::ServeScore& s : ranked) write_score(out, s);
   return net::OpOutcome::kReply;

@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "serve/scoring_service.hpp"
+
 namespace nevermind::cluster {
 
 namespace {
@@ -246,15 +248,10 @@ std::optional<std::vector<serve::ServeScore>> ShardRouter::top_n(
       }
     }
     if (failed) continue;
-    // Each node ranked its ascending-line-id subset with the service's
-    // stable (score desc) sort; lines are unique across subsets, so a
-    // total order by (score desc, line asc) reproduces the global
-    // stable ranking exactly.
-    std::sort(merged.begin(), merged.end(),
-              [](const serve::ServeScore& a, const serve::ServeScore& b) {
-                if (a.score != b.score) return a.score > b.score;
-                return a.line < b.line;
-              });
+    // Each node sent the head of its shards in RankOrder; lines are
+    // unique across nodes, so the head of the union in the same order
+    // is the single-node ranking exactly.
+    std::sort(merged.begin(), merged.end(), serve::RankOrder{});
     if (merged.size() > n) merged.resize(n);
     return merged;
   }

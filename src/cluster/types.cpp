@@ -250,11 +250,6 @@ void write_exported_line(net::PayloadWriter& w, const serve::ExportedLine& e) {
     w.f64(s.raw_min());
     w.f64(s.raw_max());
   }
-  w.u16(static_cast<std::uint16_t>(e.ring.size()));
-  for (const auto& [week, metrics] : e.ring) {
-    w.i32(week);
-    for (const float v : metrics) w.f32(v);
-  }
 }
 
 bool read_exported_line(net::PayloadReader& r, serve::ExportedLine& e) {
@@ -277,14 +272,6 @@ bool read_exported_line(net::PayloadReader& r, serve::ExportedLine& e) {
     const double max = r.f64();
     s = util::RunningStats::restore(static_cast<std::size_t>(n), mean, m2,
                                     min, max);
-  }
-  const std::uint16_t ring_count = r.u16();
-  e.ring.reserve(std::min<std::size_t>(ring_count, kReserveCap));
-  for (std::uint16_t i = 0; i < ring_count && r.ok(); ++i) {
-    std::pair<int, dslsim::MetricVector> entry;
-    entry.first = r.i32();
-    for (float& v : entry.second) v = r.f32();
-    e.ring.push_back(entry);
   }
   return r.ok();
 }

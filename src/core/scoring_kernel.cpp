@@ -24,6 +24,31 @@ double ScoringKernel::score_row(std::span<const float> full_row) const {
   return score;
 }
 
+void ScoringKernel::add_stumps(std::span<const float* const> columns,
+                               std::span<double> scores) const noexcept {
+  const std::size_t n = scores.size();
+  for (const auto& stump : model.stumps()) {
+    // Same votes as Stump::evaluate: a missing (NaN) value fails both
+    // comparisons and then takes score_missing.
+    const float* x = columns[stump.feature];
+    const float t = stump.threshold;
+    const double pass = stump.score_pass;
+    const double fail = stump.score_fail;
+    const double missing = stump.score_missing;
+    if (stump.categorical) {
+      for (std::size_t r = 0; r < n; ++r) {
+        const double vote = x[r] == t ? pass : fail;
+        scores[r] += ml::is_missing(x[r]) ? missing : vote;
+      }
+    } else {
+      for (std::size_t r = 0; r < n; ++r) {
+        const double vote = x[r] >= t ? pass : fail;
+        scores[r] += ml::is_missing(x[r]) ? missing : vote;
+      }
+    }
+  }
+}
+
 std::vector<double> ScoringKernel::score_block(
     const features::EncodedBlock& block, const exec::ExecContext& exec) const {
   // Batch scoring chunks across rows: each row's accumulator belongs to
@@ -32,12 +57,11 @@ std::vector<double> ScoringKernel::score_block(
   std::vector<double> scores(block.dataset.n_rows(), 0.0);
   exec.parallel_for(
       0, block.dataset.n_rows(), 0, [&](std::size_t b, std::size_t e) {
-        for (const auto& stump : model.stumps()) {
-          const auto col = block.dataset.column(selected.at(stump.feature));
-          for (std::size_t r = b; r < e; ++r) {
-            scores[r] += stump.evaluate(col[r]);
-          }
+        std::vector<const float*> columns(selected.size());
+        for (std::size_t j = 0; j < selected.size(); ++j) {
+          columns[j] = block.dataset.column(selected[j]).data() + b;
         }
+        add_stumps(columns, std::span<double>(scores).subspan(b, e - b));
       });
   return scores;
 }

@@ -51,6 +51,15 @@ struct ScoringKernel {
     return calibrator.probability(score);
   }
 
+  /// The column-wise stump loop behind score_block and the serving
+  /// tiles: adds every stump's vote, in ensemble order, to scores[r],
+  /// where model feature j of row r is columns[j][r]. Each row's sum
+  /// follows score_row's order from the caller's starting value (0 for
+  /// a score), so the result is bit-identical to score_row. The inner
+  /// loop selects votes without branching on the value.
+  void add_stumps(std::span<const float* const> columns,
+                  std::span<double> scores) const noexcept;
+
   /// Column-oriented batch scoring of an encoded block (the offline
   /// path). Chunks rows under `exec`; every chunk adds stumps in
   /// ensemble order, so results match serial bit for bit.

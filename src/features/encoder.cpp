@@ -133,6 +133,22 @@ void encode_window_row(const LineWindow& state, const MetricVector& current,
                        std::optional<util::Day> last_ticket, util::Day day,
                        const EncoderConfig& config, std::size_t n_base,
                        std::span<float> out) {
+  encode_base_block(state, current, profile, last_ticket, day, config, out);
+  std::size_t k = n_base;
+  if (config.include_quadratic) {
+    for (std::size_t i = 0; i < n_base; ++i) {
+      out[k++] = derived_feature(out[i], out[i]);
+    }
+  }
+  for (const auto& [a, b] : config.product_pairs) {
+    if (a < n_base && b < n_base) out[k++] = derived_feature(out[a], out[b]);
+  }
+}
+
+void encode_base_block(const LineWindow& state, const MetricVector& current,
+                       const dslsim::ServiceProfile& profile,
+                       std::optional<util::Day> last_ticket, util::Day day,
+                       const EncoderConfig& config, std::span<float> out) {
   std::size_t k = 0;
   const bool present = dslsim::record_present(current);
 
@@ -177,19 +193,40 @@ void encode_window_row(const LineWindow& state, const MetricVector& current,
                          static_cast<float>(state.tests_seen)
                    : 0.0F;
   }
+}
 
-  // Derived features over the base block.
+EncodePlan compile_encode_plan(const EncoderConfig& config,
+                               std::span<const std::size_t> wanted) {
+  EncodePlan plan;
+  plan.config = config;
+  const auto n_base = static_cast<std::uint32_t>(base_columns(config).size());
+  // The full layout's sources, in encode_window_row's column order.
+  std::vector<ColumnSource> layout;
+  for (std::uint32_t i = 0; i < n_base; ++i) layout.push_back({i, i, false});
   if (config.include_quadratic) {
-    for (std::size_t i = 0; i < n_base; ++i) {
-      out[k++] = ml::is_missing(out[i]) ? ml::kMissing : out[i] * out[i];
-    }
+    for (std::uint32_t i = 0; i < n_base; ++i) layout.push_back({i, i, true});
   }
   for (const auto& [a, b] : config.product_pairs) {
     if (a < n_base && b < n_base) {
-      out[k++] = (ml::is_missing(out[a]) || ml::is_missing(out[b]))
-                     ? ml::kMissing
-                     : out[a] * out[b];
+      layout.push_back({static_cast<std::uint32_t>(a),
+                        static_cast<std::uint32_t>(b), true});
     }
+  }
+  plan.sources.reserve(wanted.size());
+  for (const std::size_t j : wanted) plan.sources.push_back(layout.at(j));
+  return plan;
+}
+
+void EncodePlan::encode(const LineWindow& state, const MetricVector& current,
+                        const dslsim::ServiceProfile& profile,
+                        std::optional<util::Day> last_ticket, util::Day day,
+                        float* out, std::size_t stride) const {
+  std::array<float, 3 * kNumLineMetrics + 6> base;  // the widest base block
+  encode_base_block(state, current, profile, last_ticket, day, config, base);
+  for (std::size_t j = 0; j < sources.size(); ++j) {
+    const ColumnSource& s = sources[j];
+    out[j * stride] =
+        s.derived ? derived_feature(base[s.a], base[s.b]) : base[s.a];
   }
 }
 

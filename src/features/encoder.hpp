@@ -79,13 +79,60 @@ struct LineWindow {
 /// base_columns(config).size(). The single shared implementation behind
 /// encode_weeks, encode_at_dispatch and the online scoring service —
 /// served and batch scores agree byte for byte because there is only
-/// one encoding.
+/// one encoding: the base block, then each derived column through
+/// derived_feature.
 void encode_window_row(const LineWindow& state,
                        const dslsim::MetricVector& current,
                        const dslsim::ServiceProfile& profile,
                        std::optional<util::Day> last_ticket, util::Day day,
                        const EncoderConfig& config, std::size_t n_base,
                        std::span<float> out);
+
+/// The base (non-derived) block of encode_window_row: the first
+/// base_columns(config).size() entries of `out`.
+void encode_base_block(const LineWindow& state,
+                       const dslsim::MetricVector& current,
+                       const dslsim::ServiceProfile& profile,
+                       std::optional<util::Day> last_ticket, util::Day day,
+                       const EncoderConfig& config, std::span<float> out);
+
+/// The one derived-feature arithmetic: the product of two base columns,
+/// missing when either is. A quadratic feature is a column times itself.
+[[nodiscard]] inline float derived_feature(float a, float b) noexcept {
+  return (ml::is_missing(a) || ml::is_missing(b)) ? ml::kMissing : a * b;
+}
+
+/// Where one column of the full layout comes from: base column `a`, or
+/// derived_feature(base[a], base[b]).
+struct ColumnSource {
+  std::uint32_t a = 0;
+  std::uint32_t b = 0;
+  bool derived = false;
+};
+
+/// A compiled encoding of a chosen subset of the full layout's columns:
+/// the base block, then only the wanted derived columns, with
+/// encode_window_row's arithmetic. The serving layer compiles one per
+/// published model for the kernel's selected columns, so a served row
+/// costs the base block plus a handful of products instead of the whole
+/// derived layout.
+struct EncodePlan {
+  EncoderConfig config;
+  /// sources[j]: where wanted column j comes from.
+  std::vector<ColumnSource> sources;
+
+  /// Encode one example's wanted columns: column j goes to out[j * stride]
+  /// and equals encode_window_row's column wanted[j] bit for bit.
+  void encode(const LineWindow& state, const dslsim::MetricVector& current,
+              const dslsim::ServiceProfile& profile,
+              std::optional<util::Day> last_ticket, util::Day day, float* out,
+              std::size_t stride) const;
+};
+
+/// Compile the plan for full-layout column indices `wanted`; throws
+/// std::out_of_range when one lies beyond all_columns(config).
+[[nodiscard]] EncodePlan compile_encode_plan(
+    const EncoderConfig& config, std::span<const std::size_t> wanted);
 
 /// Encoded examples for a span of weeks: one row per (line, week) with
 /// the row->line/week mapping kept alongside the ml::FeatureArena.

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <thread>
@@ -296,7 +297,9 @@ std::optional<std::vector<serve::ServeScore>> Client::top_n(std::uint32_t n) {
   PayloadReader r(reply.payload);
   const std::uint32_t count = r.u32();
   std::vector<serve::ServeScore> out;
-  out.reserve(count);
+  // The count is the peer's word; the payload bounds what can follow.
+  out.reserve(
+      std::min<std::size_t>(count, reply.payload.size() / kScoreBytes));
   for (std::uint32_t i = 0; i < count; ++i) {
     serve::ServeScore s;
     if (!read_score(r, s)) break;

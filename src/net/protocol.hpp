@@ -107,7 +107,8 @@ enum class WireError : std::uint8_t {
   kVersionMismatch = 2,  // peer speaks a different protocol version
   kOversizedPayload = 3, // length prefix beyond the configured maximum
   kUnknownOp = 4,        // framing fine, op not in the server's table
-  kBadPayload = 5,       // op known, payload failed its typed decode
+  kBadPayload = 5,       // op known, payload failed its typed decode or
+                         // the reply would exceed the payload limit
 };
 [[nodiscard]] const char* wire_error_name(WireError code) noexcept;
 
@@ -229,6 +230,9 @@ struct ModelInfoReply {
   std::uint64_t measurements = 0;
   std::uint64_t tickets = 0;
 };
+
+/// Bytes write_score emits per score record.
+inline constexpr std::size_t kScoreBytes = 34;
 
 void write_score(PayloadWriter& w, const serve::ServeScore& s);
 [[nodiscard]] bool read_score(PayloadReader& r, serve::ServeScore& s);

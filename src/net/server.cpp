@@ -333,6 +333,13 @@ void Server::dispatch(Connection& c, const Frame& frame) {
 
 void Server::reply(Connection& c, Op request_op, std::uint32_t request_id,
                    std::span<const std::uint8_t> payload) {
+  if (payload.size() > codec_.max_payload()) {
+    // The peer's codec would reject the frame and drop the connection
+    // (a TOP_N of n >= 30,841 lines is already over the 1 MiB default):
+    // refuse the one request instead.
+    reply_error(c, request_id, WireError::kBadPayload);
+    return;
+  }
   codec_.encode_into(reply_op(request_op), request_id, payload, c.write_buf);
   ++stats_.replies_out;
 }

@@ -16,7 +16,8 @@
 //   - framing errors (bad magic, wrong version, oversized length
 //     prefix) get a typed error reply and the connection is closed —
 //     the stream cannot be resynchronized; unknown-op / bad-payload
-//     errors answer that request and keep the connection;
+//     errors answer that request and keep the connection, as does a
+//     reply too large for max_payload (answered with kBadPayload);
 //   - request_stop() (async-signal-safe, wired to SIGINT/SIGTERM by the
 //     CLI) drains: accepts stop, buffered requests are answered,
 //     replies flush, then the loop exits — with drain_timeout as the

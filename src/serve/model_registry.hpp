@@ -19,7 +19,13 @@ namespace nevermind::serve {
 /// here is frozen at publish time; concurrent readers share it freely.
 struct ServeModel {
   std::uint64_t version = 0;
+  /// Process-unique identity of this bundle. LineStateStore tags each
+  /// cached score with the stamp of the model that computed it; versions
+  /// restart at 1 in every registry, so they cannot serve as that tag.
+  std::uint64_t stamp = 0;
   core::ScoringKernel kernel;
+  /// kernel.selected compiled against kernel.encoder.
+  features::EncodePlan plan;
 };
 
 class ModelRegistry {
@@ -30,7 +36,9 @@ class ModelRegistry {
 
   /// Install `kernel` as the new current model and return its version.
   /// Versions increase monotonically from 1. Release-store: a reader
-  /// that acquires the new pointer sees the fully built bundle.
+  /// that acquires the new pointer sees the fully built bundle. Throws
+  /// std::out_of_range when a selected column lies beyond the kernel's
+  /// encoder layout.
   std::uint64_t publish(core::ScoringKernel kernel);
 
   /// The current model, or nullptr before the first publish. Acquire-

@@ -2,10 +2,38 @@
 
 #include <algorithm>
 
-#include "dslsim/profile.hpp"
-#include "util/calendar.hpp"
-
 namespace nevermind::serve {
+
+namespace {
+
+/// Keep the n highest-ranked entries of v, in rank order.
+template <typename T>
+void keep_head(std::vector<T>& v, std::size_t n) {
+  if (v.size() > n) {
+    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(n),
+                     v.end(), RankOrder{});
+    v.resize(n);
+  }
+  std::sort(v.begin(), v.end(), RankOrder{});
+}
+
+ServeScore served(const ScoreCell& cell, const ServeModel& model) {
+  ServeScore s;
+  s.line = cell.line;
+  s.week = cell.week;
+  if (cell.week < 0) {
+    s.reason = ScoreReason::kNoMeasurement;  // no measurement yet: invalid
+    return s;
+  }
+  s.score = cell.score;
+  s.probability = cell.probability;
+  s.model_version = model.version;
+  s.reason = ScoreReason::kOk;
+  s.valid = true;
+  return s;
+}
+
+}  // namespace
 
 ScoringService::ScoringService(const LineStateStore& store,
                                const ModelRegistry& registry,
@@ -34,51 +62,56 @@ std::vector<ServeScore> ScoringService::score_lines(
     }
     return out;
   }
-  const core::ScoringKernel& kernel = model->kernel;
-  const std::size_t n_cols = features::all_columns(kernel.encoder).size();
-  const std::size_t n_base = features::base_columns(kernel.encoder).size();
-
   config_.exec.parallel_for(
       0, lines.size(), 0, [&](std::size_t b, std::size_t e) {
-        std::vector<float> row(n_cols);
+        std::vector<ScoreCell> cells(e - b);
+        store_.read_scores(lines.subspan(b, e - b), *model, cells);
         for (std::size_t r = b; r < e; ++r) {
-          ServeScore& s = out[r];
-          s.line = lines[r];
-          s.reason = ScoreReason::kNoMeasurement;
-          const auto snap = store_.snapshot(lines[r]);
-          if (!snap.has_value()) continue;  // no measurement yet: invalid
-          features::encode_window_row(
-              snap->window, snap->current, dslsim::profile(snap->profile),
-              snap->last_ticket, util::saturday_of_week(snap->week),
-              kernel.encoder, n_base, row);
-          s.week = snap->week;
-          s.score = kernel.score_row(row);
-          s.probability = kernel.probability(s.score);
-          s.model_version = model->version;
-          s.reason = ScoreReason::kOk;
-          s.valid = true;
+          out[r] = served(cells[r - b], *model);
         }
       });
   return out;
 }
 
-std::vector<ServeScore> ScoringService::top_n(std::size_t n) const {
-  return top_n_of(n, store_.line_ids());
-}
-
-std::vector<ServeScore> ScoringService::top_n_of(
-    std::size_t n, std::span<const dslsim::LineId> lines) const {
-  std::vector<ServeScore> scored = score_lines(lines);
-  // Same comparator and stable merge as the offline weekly ranking
-  // (TicketPredictor::predict_week), over the same ascending-line-id
-  // initial order — the resulting ranking is the batch ranking.
-  config_.exec.parallel_stable_sort(
-      scored.begin(), scored.end(),
-      [](const ServeScore& a, const ServeScore& b) {
-        return a.score > b.score;
+std::vector<ServeScore> ScoringService::top_n(std::size_t n,
+                                              const LineFilter& keep) const {
+  const std::shared_ptr<const ServeModel> model = registry_.acquire();
+  if (!model || !model->kernel.trained() || n == 0) return {};
+  // Each shard contributes its own head of at most n lines; the global
+  // head is the head of their union.
+  struct Candidate {
+    double score;
+    dslsim::LineId line;
+    std::uint32_t slot;
+  };
+  std::vector<std::vector<ServeScore>> heads(store_.n_shards());
+  config_.exec.parallel_for(
+      0, heads.size(), 1, [&](std::size_t b, std::size_t e) {
+        std::vector<Candidate> candidates;
+        for (std::size_t s = b; s < e; ++s) {
+          store_.scan_scores(
+              s, *model, keep, [&](std::span<const ScoreCell> cells) {
+                candidates.clear();
+                for (std::uint32_t slot = 0; slot < cells.size(); ++slot) {
+                  const ScoreCell& c = cells[slot];
+                  if (c.week >= 0 && (!keep || keep(c.line))) {
+                    candidates.push_back({c.score, c.line, slot});
+                  }
+                }
+                keep_head(candidates, n);
+                heads[s].reserve(candidates.size());
+                for (const Candidate& c : candidates) {
+                  heads[s].push_back(served(cells[c.slot], *model));
+                }
+              });
+        }
       });
-  if (scored.size() > n) scored.resize(n);
-  return scored;
+  std::vector<ServeScore> ranked;
+  for (const auto& head : heads) {
+    ranked.insert(ranked.end(), head.begin(), head.end());
+  }
+  keep_head(ranked, n);
+  return ranked;
 }
 
 }  // namespace nevermind::serve

@@ -1,10 +1,11 @@
 // The online query surface: score(line) point queries coalesced through
-// the micro-batcher, and top_n(N) population rankings — both computed
-// from LineStateStore snapshots against the ModelRegistry's current
-// kernel. Served scores are byte-identical to the offline batch path
-// (TicketPredictor::predict_week) because both run the same
-// features::encode_window_row + core::ScoringKernel::score_row code on
-// the same per-line window state.
+// the micro-batcher, and top_n(N) population rankings — both read
+// through the LineStateStore's per-line score cache against the
+// ModelRegistry's current kernel. Served scores are byte-identical to
+// the offline batch path (TicketPredictor::predict_week): a cache miss
+// encodes the line through the model's compiled features::EncodePlan,
+// which reproduces encode_window_row's selected columns bit for bit,
+// and core::ScoringKernel::add_stumps, which reproduces score_row.
 #pragma once
 
 #include <cstddef>
@@ -19,8 +20,22 @@
 
 namespace nevermind::serve {
 
+/// The one ranking order: score descending, ties by ascending line id.
+/// A stable sort by descending score over ascending line ids — the
+/// offline predict_week ranking — is exactly this order, and because
+/// line ids are unique it is total, so heads of disjoint line sets merge
+/// into the head of their union. Orders anything with `score` and
+/// `line` members.
+struct RankOrder {
+  template <typename T>
+  [[nodiscard]] bool operator()(const T& a, const T& b) const noexcept {
+    if (a.score != b.score) return a.score > b.score;
+    return a.line < b.line;
+  }
+};
+
 struct ServiceConfig {
-  /// Pool used for batch encoding/scoring and the top-N sort.
+  /// Pool used for batch scoring and the per-shard ranking passes.
   exec::ExecContext exec;
   /// Upper bound on how many concurrent point queries one model
   /// invocation coalesces.
@@ -45,23 +60,19 @@ class ScoringService {
   [[nodiscard]] ServeScore score(dslsim::LineId line);
 
   /// Score a batch of lines directly (no batching queue). One model
-  /// version is acquired for the whole batch; rows encode and score in
-  /// parallel under config.exec, byte-identical at any thread count.
+  /// version is acquired for the whole batch; cached scores are reused
+  /// and stale ones recomputed, in parallel under config.exec,
+  /// byte-identical at any thread count.
   [[nodiscard]] std::vector<ServeScore> score_lines(
       std::span<const dslsim::LineId> lines) const;
 
-  /// The N highest-scoring lines, ranked exactly as the offline
-  /// predictor ranks a week: stable sort by descending score over
-  /// ascending line ids, then truncate. With the store replayed through
-  /// week w this matches predict_week(w)'s head byte for byte.
-  [[nodiscard]] std::vector<ServeScore> top_n(std::size_t n) const;
-
-  /// top_n restricted to an explicit ascending-line-id subset — the
-  /// cluster layer ranks each node's primary shards with this and
-  /// merges; because lines are unique, merging per-subset rankings by
-  /// (score desc, line asc) reproduces the global top_n exactly.
-  [[nodiscard]] std::vector<ServeScore> top_n_of(
-      std::size_t n, std::span<const dslsim::LineId> lines) const;
+  /// The N highest-scoring measured lines that pass `keep` (all of them
+  /// when `keep` is empty), in RankOrder — with the store replayed
+  /// through week w, predict_week(w)'s head byte for byte. Empty when no
+  /// trained model is published. The cluster ranks each node's primary
+  /// shards with a shard filter and merges the heads in RankOrder.
+  [[nodiscard]] std::vector<ServeScore> top_n(
+      std::size_t n, const LineFilter& keep = {}) const;
 
   [[nodiscard]] MicroBatcher::Stats batch_stats() const {
     return batcher_.stats();

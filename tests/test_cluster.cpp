@@ -395,8 +395,8 @@ TEST(ClusterHandoff, ExportWireImportReExportIsBitExact) {
 
     const auto re = target.export_line(line);
     ASSERT_TRUE(re.has_value());
-    // The full Welford accumulators, window, ring, and ticket state
-    // must survive the trip bit for bit.
+    // The full Welford accumulators, window, and ticket state must
+    // survive the trip bit for bit.
     EXPECT_EQ(wire_bytes(*re, write_exported_line), bytes);
     expect_truncations_fail<serve::ExportedLine>(bytes, read_exported_line);
   }

@@ -8,9 +8,11 @@
 // Server half: a live epoll server on an ephemeral port, poked with raw
 // bytes through the client's escape hatches. Framing errors must get a
 // typed error reply followed by a close; unknown-op and bad-payload
-// errors must answer that one request and leave the connection usable;
-// idle and slow-draining connections must be killed; a requested stop
-// must drain every buffered request before the loop exits.
+// errors — and replies too large for the payload limit — must answer
+// that one request and leave the connection usable; idle and
+// slow-draining connections must be killed; a requested stop must drain
+// every buffered request before the loop exits. A client must survive a
+// reply whose record count its payload cannot hold.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -26,6 +28,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/scoring_kernel.hpp"
+#include "ml/adaboost.hpp"
 #include "net/client.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
@@ -89,6 +93,7 @@ TEST(Codec, TypedPayloadsRoundTripBitwise) {
   s.valid = true;
   PayloadWriter w;
   write_score(w, s);
+  EXPECT_EQ(w.data().size(), kScoreBytes);  // what reply limits assume
   PayloadReader r(w.data());
   serve::ServeScore out;
   ASSERT_TRUE(read_score(r, out));
@@ -388,6 +393,49 @@ TEST(NetServer, BadPayloadAnswersAndKeepsConnection) {
   EXPECT_TRUE(client.ping());
 }
 
+/// A one-stump kernel over the default encoder layout: enough for the
+/// server to rank lines without training anything.
+core::ScoringKernel one_stump_kernel() {
+  core::ScoringKernel kernel;
+  kernel.selected = {3};
+  kernel.columns = {{"b.x", false}};
+  ml::Stump stump;
+  stump.threshold = 2.5F;
+  stump.score_pass = 1.0;
+  stump.score_fail = -1.0;
+  kernel.model = ml::BStumpModel({stump});
+  return kernel;
+}
+
+TEST(NetServer, TopNReplyBeyondThePayloadLimitIsRefusedNotFramed) {
+  // A measurement (109 B) fits in 128 bytes, as does a reply of three
+  // 34-byte score records (106 B); four records (140 B) do not.
+  ServerConfig config;
+  config.max_payload = 128;
+  ServerHarness harness(config);
+  harness.registry().publish(one_stump_kernel());
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", harness.port()));
+  for (dslsim::LineId line = 0; line < 5; ++line) {
+    serve::LineMeasurement m;
+    m.line = line;
+    m.metrics.fill(static_cast<float>(line));
+    ASSERT_TRUE(client.ingest(m));
+  }
+  const auto three = client.top_n(3);
+  ASSERT_TRUE(three.has_value());
+  ASSERT_EQ(three->size(), 3U);
+  EXPECT_EQ(three->front().line, 3U);  // ties at 1.0 rank by line id
+
+  EXPECT_FALSE(client.top_n(4).has_value());
+  EXPECT_EQ(client.last_wire_error(), WireError::kBadPayload);
+  EXPECT_TRUE(client.connected());
+  EXPECT_TRUE(client.ping());  // the stream is intact
+  const auto& stats = harness.stats_after_stop();
+  EXPECT_EQ(stats.protocol_errors, 0U);
+  EXPECT_EQ(stats.frames_in, stats.replies_out);
+}
+
 TEST(NetServer, IngestAndModelInfoCountersFlowThrough) {
   ServerHarness harness;
   Client client;
@@ -634,6 +682,51 @@ TEST(NetClient, RequestTimeoutClosesTheConnection) {
   EXPECT_GE(elapsed, 80ms);
   EXPECT_LT(elapsed, 5s);
   EXPECT_FALSE(client.connected());
+  ::close(listener);
+}
+
+TEST(NetClient, TopNCountBeyondItsPayloadFailsWithoutAllocating) {
+  // A peer answers TOP_N with count 0xFFFFFFFF and no records. Reserving
+  // that count would ask for ~190 GB; the call must just fail.
+  const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(
+      ::bind(listener, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  std::thread peer([listener] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    std::vector<std::uint8_t> request(kHeaderSize + 4);  // TOP_N's u32 n
+    std::size_t got = 0;
+    while (got < request.size()) {
+      const auto n =
+          ::recv(fd, request.data() + got, request.size() - got, 0);
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
+    const Codec codec;
+    const auto decoded = codec.decode(request);
+    PayloadWriter w;
+    w.u32(0xFFFFFFFFU);
+    const auto reply =
+        codec.encode(reply_op(Op::kTopN), decoded.frame.request_id, w.data());
+    (void)::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+    ::close(fd);
+  });
+
+  Client client;
+  ASSERT_TRUE(client.connect("127.0.0.1", ntohs(addr.sin_port)));
+  std::optional<std::vector<serve::ServeScore>> ranked;
+  EXPECT_NO_THROW(ranked = client.top_n(10));
+  EXPECT_FALSE(ranked.has_value());
+  peer.join();
   ::close(listener);
 }
 

@@ -4,9 +4,11 @@
 // store/batcher/registry unit semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <sstream>
 #include <thread>
@@ -141,6 +143,193 @@ TEST_F(ServeTest, TopNTruncatesTheFullRanking) {
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(top10[i].line, (*batch_)[i].line);
     EXPECT_EQ(top10[i].score, (*batch_)[i].score);
+  }
+}
+
+// ---- the score cache ---------------------------------------------------
+
+/// The score a line has right now under `kernel`, computed from scratch:
+/// the full encode_window_row row through score_row.
+double fresh_score(const LineStateStore& store,
+                   const core::ScoringKernel& kernel, dslsim::LineId line) {
+  const auto snap = store.snapshot(line);
+  EXPECT_TRUE(snap.has_value());
+  std::vector<float> row(features::all_columns(kernel.encoder).size());
+  features::encode_window_row(
+      snap->window, snap->current, dslsim::profile(snap->profile),
+      snap->last_ticket, util::saturday_of_week(snap->week), kernel.encoder,
+      features::base_columns(kernel.encoder).size(), row);
+  return kernel.score_row(row);
+}
+
+/// The trained kernel cut down to its first stump: every line scores one
+/// of three values, so the ranking is almost all ties.
+core::ScoringKernel one_stump_kernel(const core::ScoringKernel& trained) {
+  core::ScoringKernel kernel = trained;
+  kernel.model = ml::BStumpModel({trained.model.stumps().front()});
+  return kernel;
+}
+
+TEST_F(ServeTest, EachStateChangeRescoresTheLine) {
+  LineStateStore store(4);
+  ModelRegistry registry;
+  registry.publish(predictor_->kernel());
+  const ScoringService service(store, registry);
+  ReplayDriver replay(*data_, store);
+  replay.feed_through(kWeek);
+  const std::uint64_t n = data_->n_lines();
+  const auto rescored_by = [&](const auto& read) {
+    const std::uint64_t before = store.lines_rescored();
+    read();
+    return store.lines_rescored() - before;
+  };
+  const auto rank_all = [&] { (void)service.top_n(n); };
+
+  EXPECT_EQ(rescored_by(rank_all), n);  // cold
+  EXPECT_EQ(rescored_by(rank_all), 0U);  // every line cached
+  expect_identical(service.top_n(n));
+
+  const dslsim::LineId line = (*batch_)[7].line;
+  const std::vector<dslsim::LineId> one{line};
+  const auto read_line = [&] { (void)service.score_lines(one); };
+  const auto expect_fresh = [&] {
+    const ServeScore s = service.score_lines(one)[0];
+    ASSERT_TRUE(s.valid);
+    EXPECT_EQ(s.score, fresh_score(store, predictor_->kernel(), line));
+  };
+
+  // A measurement for the next week.
+  store.ingest({line, kWeek + 1, data_->plant(line).profile,
+                data_->measurement(kWeek + 1, line)});
+  EXPECT_EQ(rescored_by(read_line), 1U);
+  expect_fresh();
+  EXPECT_EQ(rescored_by(read_line), 0U);
+
+  // A stale week changes nothing, so nothing is rescored.
+  store.ingest({line, kWeek - 3, data_->plant(line).profile,
+                data_->measurement(kWeek - 3, line)});
+  EXPECT_EQ(rescored_by(read_line), 0U);
+
+  // A newer ticket moves the recency feature; an older one does not.
+  store.ingest_ticket(line, util::saturday_of_week(kWeek + 1));
+  EXPECT_EQ(rescored_by(read_line), 1U);
+  expect_fresh();
+  store.ingest_ticket(line, 0);
+  EXPECT_EQ(rescored_by(read_line), 0U);
+
+  // Installing handed-off state, even identical state.
+  store.import_line(*store.export_line(line));
+  EXPECT_EQ(rescored_by(read_line), 1U);
+  expect_fresh();
+
+  // A hot-swap stales every cached score, even for the same kernel.
+  registry.publish(predictor_->kernel());
+  EXPECT_EQ(rescored_by(rank_all), n);
+  EXPECT_EQ(rescored_by(rank_all), 0U);
+}
+
+TEST_F(ServeTest, TwoRegistriesOverOneStoreNeverShareScores) {
+  LineStateStore store(4);
+  ReplayDriver replay(*data_, store);
+  replay.feed_through(kWeek);
+  const core::ScoringKernel stump = one_stump_kernel(predictor_->kernel());
+  ModelRegistry full_registry;
+  ModelRegistry stump_registry;
+  // Both registries call their first model version 1.
+  ASSERT_EQ(full_registry.publish(predictor_->kernel()), 1U);
+  ASSERT_EQ(stump_registry.publish(stump), 1U);
+  const ScoringService full(store, full_registry);
+  const ScoringService cut(store, stump_registry);
+
+  const std::size_t n = data_->n_lines();
+  for (int round = 0; round < 2; ++round) {
+    expect_identical(full.top_n(n));
+    for (const ServeScore& s : cut.top_n(n)) {
+      ASSERT_EQ(s.score, fresh_score(store, stump, s.line)) << s.line;
+    }
+  }
+}
+
+TEST_F(ServeTest, TiedScoresRankLikeStableSortedPredictWeek) {
+  const core::ScoringKernel stump = one_stump_kernel(predictor_->kernel());
+  const core::TicketPredictor offline(core::PredictorConfig{}, stump);
+  const std::vector<core::Prediction> expect =
+      offline.predict_week(*data_, kWeek);
+  std::vector<double> distinct;
+  for (const auto& p : expect) distinct.push_back(p.score);
+  std::sort(distinct.begin(), distinct.end());
+  distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                 distinct.end());
+  ASSERT_LE(distinct.size(), 3U);  // the ranking is ties all the way down
+
+  LineStateStore store(4);
+  ModelRegistry registry;
+  registry.publish(stump);
+  ServiceConfig cfg;
+  cfg.exec = exec::ExecContext(4);
+  const ScoringService service(store, registry, cfg);
+  ReplayDriver replay(*data_, store);
+  replay.feed_through(kWeek);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{25},
+                              expect.size(), expect.size() + 100}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const auto ranked = service.top_n(n);
+    ASSERT_EQ(ranked.size(), std::min(n, expect.size()));
+    for (std::size_t i = 0; i < ranked.size(); ++i) {
+      ASSERT_EQ(ranked[i].line, expect[i].line) << "rank " << i;
+      ASSERT_EQ(ranked[i].score, expect[i].score) << "rank " << i;
+      ASSERT_EQ(ranked[i].probability, expect[i].probability) << "rank " << i;
+    }
+  }
+}
+
+TEST(ScoringKernelTiles, StumpLoopMatchesScoreRowOnNaNAndCategoricalStumps) {
+  core::ScoringKernel kernel;
+  kernel.selected = {4, 0, 2};
+  const auto stump = [](std::size_t feature, bool categorical,
+                        float threshold, double missing) {
+    ml::Stump s;
+    s.feature = feature;
+    s.categorical = categorical;
+    s.threshold = threshold;
+    s.score_pass = 0.75 + static_cast<double>(feature);
+    s.score_fail = -0.3125 * static_cast<double>(feature + 1);
+    s.score_missing = missing;
+    return s;
+  };
+  kernel.model = ml::BStumpModel({stump(0, true, 0.5F, 0.1),
+                                  stump(1, false, 0.5F, -0.2),
+                                  stump(2, true, 1.0F, 0.0),
+                                  stump(1, false, -1.0F, 0.3),
+                                  stump(0, false, 1.5F, 0.05)});
+  // 150 rows of a 5-wide layout: categorical hits and misses, values on
+  // both sides of every threshold, and NaN in each selected column.
+  constexpr std::size_t kRows = 150;
+  constexpr std::size_t kWidth = 5;
+  std::vector<float> rows(kRows * kWidth);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = 0; c < kWidth; ++c) {
+      rows[r * kWidth + c] =
+          (r + c) % 7 == 3 ? ml::kMissing
+                           : static_cast<float>((r * 3 + c) % 5) * 0.5F - 1.0F;
+    }
+  }
+  // Column-major copy of the selected columns, as the serving tiles are.
+  std::vector<std::vector<float>> columns(kernel.selected.size(),
+                                          std::vector<float>(kRows));
+  std::vector<const float*> column_ptrs;
+  for (std::size_t j = 0; j < kernel.selected.size(); ++j) {
+    for (std::size_t r = 0; r < kRows; ++r) {
+      columns[j][r] = rows[r * kWidth + kernel.selected[j]];
+    }
+    column_ptrs.push_back(columns[j].data());
+  }
+  std::vector<double> tiled(kRows, 0.0);
+  kernel.add_stumps(column_ptrs, tiled);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const double want = kernel.score_row(
+        std::span<const float>(rows.data() + r * kWidth, kWidth));
+    ASSERT_EQ(std::memcmp(&tiled[r], &want, sizeof want), 0) << "row " << r;
   }
 }
 
@@ -290,8 +479,8 @@ TEST(LineStateStore, TicketRecencyKeepsTheLatestDay) {
   EXPECT_EQ(*snap->last_ticket, 50);
 }
 
-TEST(LineStateStore, LineIdsAscendAcrossShardsAndRecentRingIsBounded) {
-  LineStateStore store(3, 4);
+TEST(LineStateStore, LineIdsAscendAcrossShardsAndPagesKeepEveryLine) {
+  LineStateStore store(3);
   for (const dslsim::LineId u : {17U, 3U, 11U, 5U}) {
     for (int w = 0; w < 6; ++w) {
       store.ingest({u, w, 1, metrics_with_state(1.0F, static_cast<float>(w))});
@@ -303,10 +492,23 @@ TEST(LineStateStore, LineIdsAscendAcrossShardsAndRecentRingIsBounded) {
   EXPECT_EQ(store.n_lines(), 4U);
   EXPECT_EQ(store.measurements_ingested(), 24U);
 
-  const auto recent = store.recent(17);
-  ASSERT_EQ(recent.size(), 4U);  // capacity-bounded, oldest first
-  EXPECT_EQ(recent.front().first, 2);
-  EXPECT_EQ(recent.back().first, 5);
+  // One shard, several slab pages: every line keeps its own state as
+  // pages are added behind it.
+  LineStateStore one(1);
+  constexpr dslsim::LineId kLines = 1000;
+  for (dslsim::LineId u = kLines; u-- > 0;) {
+    one.ingest({u, 0, 1, metrics_with_state(1.0F, static_cast<float>(u))});
+    one.ingest(
+        {u, 1, 1, metrics_with_state(1.0F, static_cast<float>(u) + 0.5F)});
+  }
+  ASSERT_EQ(one.n_lines(), kLines);
+  for (dslsim::LineId u = 0; u < kLines; ++u) {
+    const auto snap = one.snapshot(u);
+    ASSERT_TRUE(snap.has_value()) << u;
+    EXPECT_EQ(snap->week, 1);
+    EXPECT_EQ(snap->window.prev[3], static_cast<float>(u)) << u;
+    EXPECT_EQ(snap->current[3], static_cast<float>(u) + 0.5F) << u;
+  }
 }
 
 // ---- micro-batcher and registry --------------------------------------

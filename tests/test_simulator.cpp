@@ -305,10 +305,13 @@ TEST(Simulator, SuppressionReducesTicketsDuringOutages) {
   without.outage_suppression = 0.0;
   std::size_t edge_with = 0;
   std::size_t edge_without = 0;
-  for (const auto& t : Simulator(with).run().tickets()) {
+  // Named: a range-for over run().tickets() would outlive the dataset.
+  const SimDataset data_with = Simulator(with).run();
+  const SimDataset data_without = Simulator(without).run();
+  for (const auto& t : data_with.tickets()) {
     edge_with += t.category == TicketCategory::kCustomerEdge ? 1 : 0;
   }
-  for (const auto& t : Simulator(without).run().tickets()) {
+  for (const auto& t : data_without.tickets()) {
     edge_without += t.category == TicketCategory::kCustomerEdge ? 1 : 0;
   }
   EXPECT_LT(edge_with, edge_without);

@@ -10,10 +10,9 @@
 //  2. ingest throughput — rows/s through LineStateStore::ingest over a
 //     full-year replay;
 //  3. query throughput + latency — concurrent client threads issuing
-//     point queries through the micro-batcher while a swapper thread
-//     republishes the model; reports queries/s, p50/p99 latency and the
-//     batch-size histogram, and verifies every answer matches the
-//     batch-path score.
+//     point queries (one-line score_lines calls) while a swapper thread
+//     republishes the model; reports queries/s and p50/p99 latency, and
+//     verifies every answer matches the batch-path score.
 //
 // Writes BENCH_serve.json (throughputs are *_per_s fields — higher is
 // better under tools/check_bench.py) and exits 1 on any identity
@@ -158,7 +157,7 @@ int main(int argc, char** argv) {
   const double ingest_rows = static_cast<double>(replay.measurements_fed());
   const double ingest_rows_per_s = ingest_rows / std::max(ingest_s, 1e-9);
 
-  // ---- 3. concurrent point queries through the micro-batcher ----------
+  // ---- 3. concurrent point queries --------------------------------------
   serve::ModelRegistry registry;
   registry.publish(kernel);
   serve::ServiceConfig service_cfg;
@@ -196,7 +195,8 @@ int main(int argc, char** argv) {
         const auto line = static_cast<std::size_t>(
             rng.uniform_index(all_lines.size()));
         const auto t0 = Clock::now();
-        const serve::ServeScore s = service.score(all_lines[line]);
+        const serve::ServeScore s =
+            service.score_lines({&all_lines[line], 1})[0];
         lat.push_back(seconds_since(t0));
         const serve::ServeScore& e = expected[line];
         if (!s.valid || s.score != e.score ||
@@ -224,12 +224,10 @@ int main(int argc, char** argv) {
   };
   const double n_queries = static_cast<double>(all_lat.size());
   const double query_per_s = n_queries / std::max(query_s, 1e-9);
-  const auto stats = service.batch_stats();
 
   const bool query_identical = mismatches.load() == 0;
-  std::cerr << "queries: " << n_queries << " in " << query_s << "s, "
-            << stats.batches << " batches, mismatches "
-            << mismatches.load() << "\n";
+  std::cerr << "queries: " << n_queries << " in " << query_s
+            << "s, mismatches " << mismatches.load() << "\n";
 
   std::ostringstream json;
   json << "{\n"
@@ -247,13 +245,8 @@ int main(int argc, char** argv) {
        << "  \"query_per_s\": " << query_per_s << ",\n"
        << "  \"p50_latency_s\": " << pct(0.50) << ",\n"
        << "  \"p99_latency_s\": " << pct(0.99) << ",\n"
-       << "  \"batches\": " << stats.batches << ",\n"
-       << "  \"model_swaps\": " << registry.swap_count() << ",\n"
-       << "  \"batch_size_counts\": [";
-  for (std::size_t s = 0; s < stats.batch_size_counts.size(); ++s) {
-    json << (s == 0 ? "" : ", ") << stats.batch_size_counts[s];
-  }
-  json << "]\n}\n";
+       << "  \"model_swaps\": " << registry.swap_count() << "\n"
+       << "}\n";
 
   std::ofstream(out_path) << json.str();
   std::cout << json.str();
@@ -262,7 +255,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!query_identical) {
-    std::cerr << "ERROR: micro-batched answers differ from the batch path\n";
+    std::cerr << "ERROR: point-query answers differ from the batch path\n";
     return 1;
   }
   return 0;

@@ -33,7 +33,7 @@
 #include "cluster/types.hpp"
 #include "core/scoring_kernel.hpp"
 #include "net/client.hpp"
-#include "serve/micro_batcher.hpp"
+#include "serve/serve_score.hpp"
 
 namespace nevermind::cluster {
 

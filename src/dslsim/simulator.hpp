@@ -129,9 +129,9 @@ struct WeekChunk {
   std::span<const MetricVector> measurements;
 };
 
-/// Consumer callback for Simulator::stream_weeks / run_stream. Called
-/// once per week, in ascending week order, after the week's parallel
-/// sweep has fully completed (the parallel_for return is the barrier).
+/// Consumer callback for Simulator::stream_weeks. Called once per week,
+/// in ascending week order, after the week's parallel sweep has fully
+/// completed (the parallel_for return is the barrier).
 using WeekSink = std::function<void(const WeekChunk&)>;
 
 /// Everything one simulation run produces. Downstream components (the
@@ -162,9 +162,9 @@ class SimDataset {
     return {wk.data(), wk.size()};
   }
 
-  /// False for a tables-only dataset from Simulator::build_tables /
-  /// run_stream — every accessor except measurement/week_measurements
-  /// works on one; measurements arrive through the week sink instead.
+  /// False for a tables-only dataset from Simulator::build_tables —
+  /// every accessor except measurement/week_measurements works on one;
+  /// measurements arrive through the week sink instead.
   [[nodiscard]] bool has_measurements() const noexcept {
     return !weeks_.empty();
   }
@@ -326,11 +326,6 @@ class Simulator {
   /// straddles. The chunk buffer is reused between weeks.
   void stream_weeks(const SimDataset& tables, const exec::ExecContext& exec,
                     const WeekSink& sink, int through_week = -1) const;
-
-  /// Convenience: build_tables + stream_weeks over every week. Returns
-  /// the tables-only dataset (no measurement tables resident).
-  [[nodiscard]] SimDataset run_stream(const exec::ExecContext& exec,
-                                      const WeekSink& sink) const;
 
  private:
   /// One (line, Saturday) measurement cell — THE shared implementation

@@ -5,8 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "features/stream_buffer.hpp"
-
 namespace nevermind::features {
 
 namespace {
@@ -197,15 +195,12 @@ ml::StoreStatus stream_save_predictor_dataset(
                         line_of_row.push_back(static_cast<std::uint32_t>(u));
                         week_of_row.push_back(static_cast<std::uint32_t>(w));
                       });
-  // The encoder reads each week through the rolling buffer — the
-  // residency bound the 1M-line pipeline is built around — and the tap
-  // sees the raw chunk afterwards.
-  WeekWindowBuffer buffer(tables.n_lines(), options.window_weeks);
+  // The encoder keeps each line's history in its own LineWindow, so it
+  // reads the chunk directly; the tap sees the same chunk afterwards.
   const int through = std::max(encoder.emit_to(), options.stream_through);
   sim.stream_weeks(tables, exec,
                    [&](const dslsim::WeekChunk& chunk) {
-                     buffer.push(chunk);
-                     encoder.on_week(chunk.week, buffer.week(chunk.week));
+                     encoder.on_week(chunk.week, chunk.measurements);
                      if (options.tap) options.tap(chunk);
                    },
                    through);
@@ -234,12 +229,10 @@ ml::StoreStatus stream_save_locator_dataset(
                             writer.append(row, false);
                             note_of_row.push_back(note_idx);
                           });
-  WeekWindowBuffer buffer(tables.n_lines(), options.window_weeks);
   const int through = std::max(encoder.week_to(), options.stream_through);
   sim.stream_weeks(tables, exec,
                    [&](const dslsim::WeekChunk& chunk) {
-                     buffer.push(chunk);
-                     encoder.on_week(chunk.week, buffer.week(chunk.week));
+                     encoder.on_week(chunk.week, chunk.measurements);
                      if (options.tap) options.tap(chunk);
                    },
                    through);

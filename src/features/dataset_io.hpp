@@ -75,9 +75,6 @@ struct LocatorDataset {
 
 /// Knobs for the streamed simulate→encode pipeline savers below.
 struct StreamPipelineOptions {
-  /// Rolling residency bound: the encoder reads each week through a
-  /// WeekWindowBuffer holding at most this many weeks of measurements.
-  int window_weeks = 8;
   /// Stream at least through this test week even when it lies past the
   /// last emitted week (a tap may need later weeks — e.g. the serving
   /// replay feeding the prediction week). -1 = stop at the last
@@ -94,11 +91,11 @@ struct StreamPipelineOptions {
 /// dataset at `path` (must end in ".nmarena") WITHOUT materialized
 /// measurement tables: `tables` is a (possibly tables-only) dataset
 /// from Simulator::build_tables or run, and the weekly measurements are
-/// generated on the fly by sim.stream_weeks and consumed through a
-/// bounded WeekWindowBuffer. The artefact is byte-identical to
+/// generated on the fly by sim.stream_weeks and handed to the encoder
+/// one chunk at a time. The artefact is byte-identical to
 /// save_predictor_dataset over a materialized run() at every thread
-/// count. Peak residency: window_weeks chunks + one writer chunk + the
-/// row mappings.
+/// count. Peak residency: one LineWindow per line + one week chunk +
+/// one writer chunk + the row mappings.
 [[nodiscard]] ml::StoreStatus stream_save_predictor_dataset(
     const std::string& path, const dslsim::Simulator& sim,
     const dslsim::SimDataset& tables, const exec::ExecContext& exec,

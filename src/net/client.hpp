@@ -27,7 +27,7 @@
 
 #include "net/protocol.hpp"
 #include "serve/line_state_store.hpp"
-#include "serve/micro_batcher.hpp"
+#include "serve/serve_score.hpp"
 #include "util/calendar.hpp"
 
 namespace nevermind::net {

@@ -18,7 +18,7 @@
 
 #include "dslsim/simulator.hpp"
 #include "net/client.hpp"
-#include "serve/micro_batcher.hpp"
+#include "serve/serve_score.hpp"
 
 namespace nevermind::net {
 

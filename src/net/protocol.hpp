@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "serve/line_state_store.hpp"
-#include "serve/micro_batcher.hpp"
+#include "serve/serve_score.hpp"
 #include "util/calendar.hpp"
 
 namespace nevermind::net {

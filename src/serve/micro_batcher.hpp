@@ -1,102 +1,5 @@
-// Leader-based micro-batching for point queries. Concurrent score(line)
-// callers enqueue their request; the first caller to find no active
-// leader becomes the leader, drains the queue in batches of up to
-// max_batch, runs the batch executor (which scores all lines of the
-// batch under one model version on the shared exec pool), fulfils the
-// promises, and re-checks the queue before stepping down — so a request
-// enqueued while a batch was in flight is always picked up, either by
-// the still-active leader or by its own caller becoming the next
-// leader. Followers just wait on their future.
-//
-// Batching converts N concurrent single-line queries into ~N/max_batch
-// model invocations that amortize snapshotting and encoding across the
-// exec pool; the batch-size histogram records how well queries
-// coalesce under load.
+// Forwarding header: ServeScore and ScoreReason live in
+// serve/serve_score.hpp.
 #pragma once
 
-#include <chrono>
-#include <cstdint>
-#include <deque>
-#include <functional>
-#include <future>
-#include <mutex>
-#include <span>
-#include <vector>
-
-#include "dslsim/topology.hpp"
-
-namespace nevermind::serve {
-
-/// Why a ServeScore is (in)valid. Distinct codes let callers — and the
-/// wire protocol — tell "line unknown" from "no model yet" from "the
-/// batch executor blew its deadline".
-enum class ScoreReason : std::uint8_t {
-  kOk = 0,
-  kNoModel = 1,        // nothing published in the registry yet
-  kNoMeasurement = 2,  // the line has no ingested measurement
-  kTimeout = 3,        // the per-request deadline expired while queued
-};
-[[nodiscard]] const char* score_reason_name(ScoreReason reason) noexcept;
-
-/// Result of scoring one line. `valid` is false when the line has no
-/// measurement yet, no model is published, or the request timed out
-/// (`reason` says which); `model_version` records which registry
-/// version produced the score (so a mid-stream hot-swap is observable).
-struct ServeScore {
-  dslsim::LineId line = 0;
-  int week = -1;
-  double score = 0.0;
-  double probability = 0.0;
-  std::uint64_t model_version = 0;
-  ScoreReason reason = ScoreReason::kOk;
-  bool valid = false;
-};
-
-class MicroBatcher {
- public:
-  /// Scores one batch of lines; must return exactly one ServeScore per
-  /// input line, in input order.
-  using Executor =
-      std::function<std::vector<ServeScore>(std::span<const dslsim::LineId>)>;
-
-  MicroBatcher(Executor executor, std::size_t max_batch);
-
-  /// Score one line, coalescing with concurrent callers. Blocks until
-  /// the owning batch completes — or until `deadline` expires (0 =
-  /// wait forever), in which case an invalid ServeScore with reason
-  /// kTimeout comes back and the eventual batch result is discarded.
-  /// The caller that became the batch leader executes the batch itself
-  /// and therefore cannot time out; the deadline protects followers
-  /// from a wedged executor.
-  [[nodiscard]] ServeScore score(
-      dslsim::LineId line,
-      std::chrono::milliseconds deadline = std::chrono::milliseconds{0});
-
-  struct Stats {
-    std::uint64_t requests = 0;
-    std::uint64_t batches = 0;
-    /// batch_size_counts[s] = number of executed batches of size s+1.
-    std::vector<std::uint64_t> batch_size_counts;
-  };
-  [[nodiscard]] Stats stats() const;
-
-  [[nodiscard]] std::size_t max_batch() const noexcept { return max_batch_; }
-
- private:
-  struct Request {
-    dslsim::LineId line = 0;
-    std::promise<ServeScore> promise;
-  };
-
-  Executor executor_;
-  std::size_t max_batch_;
-
-  mutable std::mutex mutex_;
-  std::deque<Request> pending_;
-  bool leader_active_ = false;
-  std::uint64_t n_requests_ = 0;
-  std::uint64_t n_batches_ = 0;
-  std::vector<std::uint64_t> batch_size_counts_;
-};
-
-}  // namespace nevermind::serve
+#include "serve/serve_score.hpp"

@@ -38,18 +38,7 @@ ServeScore served(const ScoreCell& cell, const ServeModel& model) {
 ScoringService::ScoringService(const LineStateStore& store,
                                const ModelRegistry& registry,
                                ServiceConfig config)
-    : store_(store),
-      registry_(registry),
-      config_(std::move(config)),
-      batcher_(
-          [this](std::span<const dslsim::LineId> lines) {
-            return score_lines(lines);
-          },
-          config_.max_batch) {}
-
-ServeScore ScoringService::score(dslsim::LineId line) {
-  return batcher_.score(line, config_.deadline);
-}
+    : store_(store), registry_(registry), config_(std::move(config)) {}
 
 std::vector<ServeScore> ScoringService::score_lines(
     std::span<const dslsim::LineId> lines) const {

@@ -1,11 +1,11 @@
-// The online query surface: score(line) point queries coalesced through
-// the micro-batcher, and top_n(N) population rankings — both read
-// through the LineStateStore's per-line score cache against the
-// ModelRegistry's current kernel. Served scores are byte-identical to
-// the offline batch path (TicketPredictor::predict_week): a cache miss
-// encodes the line through the model's compiled features::EncodePlan,
-// which reproduces encode_window_row's selected columns bit for bit,
-// and core::ScoringKernel::add_stumps, which reproduces score_row.
+// The online query surface: score_lines(lines) point and batch queries,
+// and top_n(N) population rankings — both read through the
+// LineStateStore's per-line score cache against the ModelRegistry's
+// current kernel. Served scores are byte-identical to the offline batch
+// path (TicketPredictor::predict_week): a cache miss encodes the line
+// through the model's compiled features::EncodePlan, which reproduces
+// encode_window_row's selected columns bit for bit, and
+// core::ScoringKernel::add_stumps, which reproduces score_row.
 #pragma once
 
 #include <cstddef>
@@ -15,8 +15,8 @@
 
 #include "exec/exec.hpp"
 #include "serve/line_state_store.hpp"
-#include "serve/micro_batcher.hpp"
 #include "serve/model_registry.hpp"
+#include "serve/serve_score.hpp"
 
 namespace nevermind::serve {
 
@@ -37,14 +37,6 @@ struct RankOrder {
 struct ServiceConfig {
   /// Pool used for batch scoring and the per-shard ranking passes.
   exec::ExecContext exec;
-  /// Upper bound on how many concurrent point queries one model
-  /// invocation coalesces.
-  std::size_t max_batch = 64;
-  /// Per-request deadline for point queries queued behind the
-  /// micro-batcher (0 = wait forever). A wedged batch executor then
-  /// surfaces as an invalid ServeScore with reason kTimeout instead of
-  /// hanging the caller.
-  std::chrono::milliseconds deadline{0};
 };
 
 class ScoringService {
@@ -53,16 +45,11 @@ class ScoringService {
   ScoringService(const LineStateStore& store, const ModelRegistry& registry,
                  ServiceConfig config = {});
 
-  /// Score one line now, coalescing with concurrent callers into a
-  /// micro-batch. `valid` is false when the line has no measurement,
-  /// no model is published, or config.deadline expired while queued —
-  /// `reason` distinguishes the three.
-  [[nodiscard]] ServeScore score(dslsim::LineId line);
-
-  /// Score a batch of lines directly (no batching queue). One model
-  /// version is acquired for the whole batch; cached scores are reused
-  /// and stale ones recomputed, in parallel under config.exec,
-  /// byte-identical at any thread count.
+  /// Score a batch of lines (a point query is a batch of one). One
+  /// model version is acquired for the whole batch; cached scores are
+  /// reused and stale ones recomputed, in parallel under config.exec,
+  /// byte-identical at any thread count. `valid` is false when the line
+  /// has no measurement or no model is published — `reason` says which.
   [[nodiscard]] std::vector<ServeScore> score_lines(
       std::span<const dslsim::LineId> lines) const;
 
@@ -74,18 +61,10 @@ class ScoringService {
   [[nodiscard]] std::vector<ServeScore> top_n(
       std::size_t n, const LineFilter& keep = {}) const;
 
-  [[nodiscard]] MicroBatcher::Stats batch_stats() const {
-    return batcher_.stats();
-  }
-  [[nodiscard]] const LineStateStore& store() const noexcept {
-    return store_;
-  }
-
  private:
   const LineStateStore& store_;
   const ModelRegistry& registry_;
   ServiceConfig config_;
-  MicroBatcher batcher_;
 };
 
 }  // namespace nevermind::serve

@@ -521,8 +521,9 @@ TEST_F(ClusterEndToEnd, ReplicatedServeSurvivesAKillByteIdentically) {
 
   const auto expect_identical = [&] {
     for (std::size_t l = 0; l < data_->n_lines(); ++l) {
-      const auto got = router.score(static_cast<dslsim::LineId>(l));
-      const auto want = ref_service.score(static_cast<dslsim::LineId>(l));
+      const auto line = static_cast<dslsim::LineId>(l);
+      const auto got = router.score(line);
+      const auto want = ref_service.score_lines({&line, 1})[0];
       ASSERT_TRUE(got.has_value()) << router.last_error();
       ASSERT_TRUE(got->valid);
       ASSERT_EQ(got->week, want.week) << "line " << l;

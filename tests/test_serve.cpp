@@ -1,24 +1,19 @@
 // Serving-layer tests: the byte-identity anchor (served scores ==
 // offline batch scores at every shard/thread configuration, including
 // across a model hot-swap), the versioned artefact round-trips, and the
-// store/batcher/registry unit semantics.
+// store/registry unit semantics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "core/scoring_kernel.hpp"
 #include "core/ticket_predictor.hpp"
 #include "core/trouble_locator.hpp"
 #include "serve/line_state_store.hpp"
-#include "serve/micro_batcher.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/replay.hpp"
 #include "serve/scoring_service.hpp"
@@ -123,7 +118,7 @@ TEST_F(ServeTest, PointQueryMatchesRankedEntry) {
   replay.feed_through(kWeek);
 
   for (std::size_t i = 0; i < batch_->size(); i += 311) {
-    const auto s = service.score((*batch_)[i].line);
+    const auto s = service.score_lines({&(*batch_)[i].line, 1})[0];
     ASSERT_TRUE(s.valid);
     EXPECT_EQ(s.score, (*batch_)[i].score);
     EXPECT_EQ(s.probability, (*batch_)[i].probability);
@@ -511,76 +506,7 @@ TEST(LineStateStore, LineIdsAscendAcrossShardsAndPagesKeepEveryLine) {
   }
 }
 
-// ---- micro-batcher and registry --------------------------------------
-
-TEST(MicroBatcher, RoutesEachResultToItsCaller) {
-  MicroBatcher batcher(
-      [](std::span<const dslsim::LineId> lines) {
-        std::vector<ServeScore> out(lines.size());
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-          out[i].line = lines[i];
-          out[i].score = static_cast<double>(lines[i]) * 2.0;
-          out[i].valid = true;
-        }
-        return out;
-      },
-      8);
-  for (const dslsim::LineId u : {4U, 9U, 1U}) {
-    const auto s = batcher.score(u);
-    EXPECT_TRUE(s.valid);
-    EXPECT_EQ(s.line, u);
-    EXPECT_EQ(s.score, static_cast<double>(u) * 2.0);
-  }
-  const auto stats = batcher.stats();
-  EXPECT_EQ(stats.requests, 3U);
-  EXPECT_EQ(stats.batches, 3U);  // sequential callers: batches of one
-  EXPECT_EQ(stats.batch_size_counts[0], 3U);
-}
-
-TEST(MicroBatcher, FollowerDeadlineSurfacesAsTimeoutReason) {
-  // An executor that wedges on its first batch until released: the
-  // leader (who runs the executor on its own thread) cannot time out,
-  // but a follower with a deadline must come back invalid/kTimeout
-  // instead of blocking forever.
-  std::promise<void> release;
-  std::shared_future<void> released = release.get_future().share();
-  std::atomic<bool> leader_entered{false};
-  MicroBatcher batcher(
-      [&](std::span<const dslsim::LineId> lines) {
-        leader_entered.store(true, std::memory_order_release);
-        released.wait();
-        std::vector<ServeScore> out(lines.size());
-        for (std::size_t i = 0; i < lines.size(); ++i) {
-          out[i].line = lines[i];
-          out[i].valid = true;
-        }
-        return out;
-      },
-      8);
-
-  std::thread leader([&] {
-    const auto s = batcher.score(1);
-    EXPECT_TRUE(s.valid);  // the wedge releases before the leader returns
-  });
-  while (!leader_entered.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-
-  // The leader is inside the wedged executor, so this caller queues as
-  // a follower of the NEXT batch — which can never start — and its
-  // deadline must fire.
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto s = batcher.score(2, std::chrono::milliseconds(50));
-  const auto waited = std::chrono::steady_clock::now() - t0;
-  EXPECT_FALSE(s.valid);
-  EXPECT_EQ(s.line, 2U);
-  EXPECT_EQ(s.reason, ScoreReason::kTimeout);
-  EXPECT_GE(waited, std::chrono::milliseconds(50));
-
-  release.set_value();
-  leader.join();
-  EXPECT_STREQ(score_reason_name(ScoreReason::kTimeout), "deadline exceeded");
-}
+// ---- score reasons and registry --------------------------------------
 
 TEST_F(ServeTest, ReasonsDistinguishNoModelFromNoMeasurement) {
   LineStateStore store(2);
@@ -588,16 +514,20 @@ TEST_F(ServeTest, ReasonsDistinguishNoModelFromNoMeasurement) {
   ModelRegistry registry;
   ScoringService service(store, registry);
 
+  const dslsim::LineId measured = 1;
+  const dslsim::LineId never_measured = 9;
+
   // Nothing published (an untrained kernel counts as nothing): kNoModel.
-  EXPECT_EQ(service.score(1).reason, ScoreReason::kNoModel);
+  EXPECT_EQ(service.score_lines({&measured, 1})[0].reason,
+            ScoreReason::kNoModel);
 
   // Trained model published: the measured line scores kOk, while a
   // line that has never reported a measurement says so.
   registry.publish(predictor_->kernel());
-  const auto known = service.score(1);
+  const auto known = service.score_lines({&measured, 1})[0];
   EXPECT_TRUE(known.valid);
   EXPECT_EQ(known.reason, ScoreReason::kOk);
-  const auto unknown = service.score(9);
+  const auto unknown = service.score_lines({&never_measured, 1})[0];
   EXPECT_FALSE(unknown.valid);
   EXPECT_EQ(unknown.reason, ScoreReason::kNoMeasurement);
 }
@@ -624,7 +554,8 @@ TEST(ScoringServiceEdge, UnpublishedModelYieldsInvalidScores) {
   store.ingest({1, 0, 1, metrics_with_state(1.0F, 5.0F)});
   ModelRegistry registry;
   ScoringService service(store, registry);
-  const auto s = service.score(1);
+  const dslsim::LineId line = 1;
+  const auto s = service.score_lines({&line, 1})[0];
   EXPECT_FALSE(s.valid);
   EXPECT_EQ(s.line, 1U);
   EXPECT_TRUE(service.top_n(5).empty() || !service.top_n(5).front().valid);

@@ -1,7 +1,7 @@
 // Concurrency smoke for the serving stack, built to run under
 // -DNEVERMIND_SANITIZE=thread (ctest -L tsan): writer threads ingesting
-// measurements and tickets, reader threads issuing rankings, direct
-// batches and micro-batched point queries, and a publisher thread
+// measurements and tickets, reader threads issuing rankings, batches
+// and point queries, and a publisher thread
 // hot-swapping the model — all against one store and registry, with
 // full data-race coverage from TSan, including the score cache that
 // const reads rewrite under the shard locks.
@@ -61,8 +61,8 @@ TEST(ServeConcurrency, ConcurrentIngestQueryAndHotSwap) {
     }
   });
 
-  // Readers: point queries through the micro-batcher against whatever
-  // state and model version are current.
+  // Readers: point queries (batches of one) against whatever state and
+  // model version are current.
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < 4; ++r) {
     readers.emplace_back([&, r] {
@@ -70,7 +70,7 @@ TEST(ServeConcurrency, ConcurrentIngestQueryAndHotSwap) {
       for (int q = 0; q < 200; ++q) {
         const auto line = static_cast<dslsim::LineId>(
             rng.uniform_index(data.n_lines()));
-        const ServeScore s = service.score(line);
+        const ServeScore s = service.score_lines({&line, 1})[0];
         EXPECT_EQ(s.line, line);
         if (s.valid) {
           EXPECT_GE(s.probability, 0.0);
@@ -90,8 +90,6 @@ TEST(ServeConcurrency, ConcurrentIngestQueryAndHotSwap) {
   EXPECT_EQ(store.measurements_ingested(),
             static_cast<std::uint64_t>(data.n_lines()) *
                 static_cast<std::uint64_t>(data.n_weeks()));
-  const auto stats = service.batch_stats();
-  EXPECT_EQ(stats.requests, 800U);
   EXPECT_GE(registry.swap_count(), 1U);
 
   // After the dust settles the store serves the final week everywhere.
@@ -156,7 +154,7 @@ TEST(ServeConcurrency, CachedScoresStayExactUnderRankingIngestAndHotSwap) {
       std::this_thread::yield();
     }
   });
-  // Readers: rankings, direct batches and micro-batched point queries.
+  // Readers: rankings, batches and point queries.
   std::vector<std::thread> readers;
   for (std::size_t r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
@@ -173,7 +171,7 @@ TEST(ServeConcurrency, CachedScoresStayExactUnderRankingIngestAndHotSwap) {
         for (std::size_t i = 0; i < batch.size(); ++i) {
           EXPECT_EQ(scored[i].line, batch[i]);
         }
-        EXPECT_EQ(service.score(batch[0]).line, batch[0]);
+        EXPECT_EQ(service.score_lines({batch.data(), 1})[0].line, batch[0]);
       }
     });
   }

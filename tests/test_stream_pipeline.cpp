@@ -1,9 +1,8 @@
 // The streaming pipeline's identity anchor: every streamed producer or
 // consumer must be byte-identical to its materialized counterpart at 1
 // and 8 threads — Simulator::stream_weeks vs run()'s measurement table
-// (including a correlated infra-fault run), the WeekWindowBuffer's
-// eviction/straddle semantics, the streamed dataset artefacts vs the
-// materialized savers, the full streamed training chain
+// (including a correlated infra-fault run), the streamed dataset
+// artefacts vs the materialized savers, the full streamed training chain
 // (plan_full_encoder + train_from_block) vs train(), and the serving
 // replay fed chunk-wise vs week-by-week from a materialized dataset.
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "core/ticket_predictor.hpp"
 #include "core/trouble_locator.hpp"
 #include "features/dataset_io.hpp"
-#include "features/stream_buffer.hpp"
 #include "serve/line_state_store.hpp"
 #include "serve/replay.hpp"
 #include "util/calendar.hpp"
@@ -123,56 +121,6 @@ TEST(StreamWeeks, ThroughWeekStopsEarly) {
 }
 
 // ---------------------------------------------------------------------
-// The rolling window: eviction, straddle, producer-contract errors.
-// ---------------------------------------------------------------------
-
-TEST(WeekWindowBuffer, EvictsBeyondWindowAndKeepsBytes) {
-  const dslsim::SimConfig cfg = small_config(150, 5);
-  const dslsim::SimDataset data = dslsim::Simulator(cfg).run();
-  features::WeekWindowBuffer buffer(cfg.topology.n_lines, 4);
-  EXPECT_EQ(buffer.newest_week(), -1);
-  EXPECT_EQ(buffer.oldest_week(), -1);
-  for (int w = 0; w < 10; ++w) {
-    buffer.push(w, data.week_measurements(w));
-    // The window straddles pushes: everything in (w-4, w] stays
-    // readable bit-for-bit, anything older is gone.
-    EXPECT_EQ(buffer.newest_week(), w);
-    EXPECT_EQ(buffer.oldest_week(), std::max(0, w - 3));
-    for (int back = 0; back < 4; ++back) {
-      const int resident = w - back;
-      if (resident < 0) break;
-      ASSERT_TRUE(buffer.contains(resident));
-      EXPECT_TRUE(same_week(buffer.week(resident),
-                            data.week_measurements(resident)));
-    }
-    if (w >= 4) {
-      EXPECT_FALSE(buffer.contains(w - 4));
-      EXPECT_THROW((void)buffer.week(w - 4), std::out_of_range);
-    }
-  }
-  // Residency is the window, not the history that flowed through.
-  EXPECT_EQ(buffer.resident_bytes(),
-            4 * static_cast<std::size_t>(cfg.topology.n_lines) *
-                sizeof(dslsim::MetricVector));
-}
-
-TEST(WeekWindowBuffer, EnforcesProducerContract) {
-  const dslsim::SimConfig cfg = small_config(80, 6);
-  const dslsim::SimDataset data = dslsim::Simulator(cfg).run();
-  features::WeekWindowBuffer buffer(cfg.topology.n_lines, 3);
-  EXPECT_THROW(features::WeekWindowBuffer(10, 0), std::invalid_argument);
-  // Weeks must arrive in order with no gaps...
-  EXPECT_THROW(buffer.push(1, data.week_measurements(1)), std::logic_error);
-  buffer.push(0, data.week_measurements(0));
-  EXPECT_THROW(buffer.push(2, data.week_measurements(2)), std::logic_error);
-  EXPECT_THROW(buffer.push(0, data.week_measurements(0)), std::logic_error);
-  // ...and sized to the line population.
-  const std::vector<dslsim::MetricVector> wrong(17);
-  EXPECT_THROW(buffer.push(1, {wrong.data(), wrong.size()}),
-               std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------
 // Streamed dataset artefacts vs the materialized savers.
 // ---------------------------------------------------------------------
 
@@ -202,31 +150,23 @@ TEST_F(StreamArtefactTest, PredictorArtefactByteIdentical) {
   std::filesystem::remove(mat_path);
   ASSERT_FALSE(reference.empty());
 
-  // Windows both wider and narrower than the emit span: a narrow
-  // window forces emitted weeks to be encoded and evicted while later
-  // chunks are still arriving (the straddle case).
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-    for (const int window : {1, 3, 16}) {
-      const exec::ExecContext exec(threads);
-      const dslsim::SimDataset tables = sim.build_tables(exec);
-      features::StreamPipelineOptions opts;
-      opts.window_weeks = window;
-      const std::string path = temp_path("pred_stream.nmarena");
-      ASSERT_TRUE(features::stream_save_predictor_dataset(
-                      path, sim, tables, exec, kTrainFrom, kTrainTo,
-                      base_config(), labeler, opts)
-                      .ok());
-      EXPECT_EQ(slurp(path), reference)
-          << threads << " thread(s), window " << window;
-      std::filesystem::remove(path);
-    }
+    const exec::ExecContext exec(threads);
+    const dslsim::SimDataset tables = sim.build_tables(exec);
+    const std::string path = temp_path("pred_stream.nmarena");
+    ASSERT_TRUE(features::stream_save_predictor_dataset(
+                    path, sim, tables, exec, kTrainFrom, kTrainTo,
+                    base_config(), labeler)
+                    .ok());
+    EXPECT_EQ(slurp(path), reference) << threads << " thread(s)";
+    std::filesystem::remove(path);
   }
 }
 
 TEST_F(StreamArtefactTest, PredictorArtefactFinalWeekOfYear) {
   // Emit range butting against the last simulated week: the stream
-  // ends exactly at the final chunk, with no trailing weeks to flush
-  // the window.
+  // ends exactly at the final chunk, with no trailing weeks after the
+  // last emitted one.
   const dslsim::Simulator sim(small_config());
   const features::TicketLabeler labeler{28};
   const int last = data_->n_weeks() - 1;
@@ -239,12 +179,10 @@ TEST_F(StreamArtefactTest, PredictorArtefactFinalWeekOfYear) {
 
   const exec::ExecContext exec = exec::ExecContext::serial();
   const dslsim::SimDataset tables = sim.build_tables(exec);
-  features::StreamPipelineOptions opts;
-  opts.window_weeks = 2;
   const std::string path = temp_path("pred_tail_stream.nmarena");
   ASSERT_TRUE(features::stream_save_predictor_dataset(
                   path, sim, tables, exec, last - 2, last, base_config(),
-                  labeler, opts)
+                  labeler)
                   .ok());
   EXPECT_EQ(slurp(path), reference);
   std::filesystem::remove(path);
@@ -263,12 +201,10 @@ TEST_F(StreamArtefactTest, LocatorArtefactByteIdentical) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     const exec::ExecContext exec(threads);
     const dslsim::SimDataset tables = sim.build_tables(exec);
-    features::StreamPipelineOptions opts;
-    opts.window_weeks = 4;
     const std::string path = temp_path("loc_stream.nmarena");
     ASSERT_TRUE(features::stream_save_locator_dataset(path, sim, tables,
                                                       exec, kLocFrom, kLocTo,
-                                                      base_config(), opts)
+                                                      base_config())
                     .ok());
     EXPECT_EQ(slurp(path), reference) << threads << " thread(s)";
     std::filesystem::remove(path);
@@ -298,8 +234,6 @@ TEST(StreamTraining, PredictorKernelMatchesTrain) {
     tpc.exec = exec::ExecContext(threads);
     core::TicketPredictor predictor(tpc);
     const dslsim::SimDataset tables = sim.build_tables(tpc.exec);
-    features::StreamPipelineOptions opts;
-    opts.window_weeks = 4;
 
     // Pass 1: base matrix, mmap'ed for stage-1 planning.
     const std::string base_path = temp_path("chain_base.nmarena");
@@ -308,7 +242,7 @@ TEST(StreamTraining, PredictorKernelMatchesTrain) {
     base_cfg.product_pairs.clear();
     ASSERT_TRUE(features::stream_save_predictor_dataset(
                     base_path, sim, tables, tpc.exec, kTrainFrom, kTrainTo,
-                    base_cfg, labeler, opts)
+                    base_cfg, labeler)
                     .ok());
     features::EncoderConfig full_cfg;
     {
@@ -325,7 +259,7 @@ TEST(StreamTraining, PredictorKernelMatchesTrain) {
     const std::string full_path = temp_path("chain_full.nmarena");
     ASSERT_TRUE(features::stream_save_predictor_dataset(
                     full_path, sim, tables, tpc.exec, kTrainFrom, kTrainTo,
-                    full_cfg, labeler, opts)
+                    full_cfg, labeler)
                     .ok());
     {
       auto full = features::load_predictor_dataset(full_path,
@@ -360,12 +294,10 @@ TEST(StreamTraining, LocatorMatchesTrain) {
     tlc.exec = exec::ExecContext(threads);
     core::TroubleLocator locator(tlc);
     const dslsim::SimDataset tables = sim.build_tables(tlc.exec);
-    features::StreamPipelineOptions opts;
-    opts.window_weeks = 4;
     const std::string path = temp_path("loc_chain.nmarena");
     ASSERT_TRUE(features::stream_save_locator_dataset(
                     path, sim, tables, tlc.exec, kLocFrom, kLocTo,
-                    locator.encoder_config(), opts)
+                    locator.encoder_config())
                     .ok());
     {
       auto loaded = features::load_locator_dataset(path,

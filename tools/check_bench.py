@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Compare two NEVERMIND benchmark JSON files for timing regressions.
 
-Every bench binary that measures wall-clock time (bench_perf_pipeline,
-bench_train, bench_serve, bench_net, bench_cluster, bench_scale) writes a
+Every bench binary that measures wall-clock time (bench_train,
+bench_serve, bench_net, bench_cluster, bench_scale) writes a
 BENCH_*.json with metric fields named by convention: names ending in ``_s`` are timings in
 seconds and names ending in ``_ms`` are timings in milliseconds (both
 lower is better; ``_ms`` values are converted to seconds so --min-time
